@@ -2,11 +2,10 @@
 //! explanations, provenance preservation on cacheable spines, and
 //! zone-map conjunct detection for scan predicates.
 //!
-//! [`explain_cacheability`] mirrors the executor's private admission
-//! function (`cacheable_shape` in `snowprune-exec`) decision-for-decision
-//! — the executor debug-asserts agreement on every query it runs, so the
-//! two cannot drift silently — and additionally records *why* each plan
-//! is or isn't eligible, which surfaces through `ExecReport`.
+//! [`explain_cacheability`] is the engine's one §8.2 admission decision:
+//! the executor consults the predicate cache for exactly the plans it
+//! gives a shape, and keeps no decision of its own. It also records *why*
+//! each plan is or isn't eligible, which surfaces through `ExecReport`.
 
 use snowprune_expr::Expr;
 use snowprune_plan::{detect_topk, Plan, TopKShape};
@@ -31,12 +30,14 @@ pub enum CacheShape {
     },
 }
 
-/// Structured "why is/isn't this plan cacheable" report.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Structured "why is/isn't this plan cacheable" report. The default is
+/// the empty report of a plan not yet analyzed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheReport {
     /// The matched cache shape, or `None` when the plan is not cacheable.
     pub shape: Option<CacheShape>,
-    /// Human-readable reasons backing the decision (never empty).
+    /// Human-readable reasons backing the decision (never empty in a
+    /// report the analyzer returns).
     pub reasons: Vec<String>,
 }
 

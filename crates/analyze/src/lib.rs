@@ -20,8 +20,8 @@
 //! Findings are typed [`Diagnostic`] values. [`verify`] rejects plans
 //! with error-severity findings as
 //! [`Error::PlanRejected`]; the
-//! executor calls it behind `ExecConfig::verify_plans`
-//! (`SNOWPRUNE_VERIFY_PLANS`, default on).
+//! executor calls it on every query and takes its cache-admission
+//! decision from the returned cacheability report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -99,16 +99,6 @@ pub struct ExecConfig {
     /// row-fallback oracle, and the `joinagg` bench experiment compares
     /// both settings. Results are bit-identical either way.
     pub batch_native: bool,
-    /// Run the static plan verifier (`snowprune-analyze`) at admission:
-    /// before morsel generation, every plan is schema-resolved and
-    /// type-checked and the engine invariants (sort-key validity, join-key
-    /// comparability, aggregate input typing) are enforced. Plans with any
-    /// error-severity diagnostic are rejected with
-    /// [`snowprune_types::Error::PlanRejected`]. On by default — the
-    /// analyzer is sound (zero false positives on every valid plan), so
-    /// the only reason to disable it (`SNOWPRUNE_VERIFY_PLANS=0`) is to
-    /// measure its admission-time cost.
-    pub verify_plans: bool,
     /// Zone-map filter pruning knobs (§3).
     pub filter: FilterPruneConfig,
     /// Simulated object-store cost model for I/O accounting.
@@ -154,7 +144,6 @@ impl Default for ExecConfig {
             prefetch_max_depth: 8,
             batch_rows: 1024,
             batch_native: true,
-            verify_plans: true,
             filter: FilterPruneConfig::default(),
             io_cost: IoCostModel::default(),
         }
@@ -238,12 +227,6 @@ impl ExecConfig {
         self.batch_native = on;
         self
     }
-
-    /// Builder-style toggle for the admission-time static plan verifier.
-    pub fn with_verify_plans(mut self, on: bool) -> Self {
-        self.verify_plans = on;
-        self
-    }
 }
 
 // Every reader below goes through the [`snowprune_types::knobs`] registry
@@ -320,17 +303,6 @@ pub fn tenant_max_concurrent_from_env() -> Option<usize> {
 /// window), so only non-numeric values are malformed.
 pub fn admission_queue_cap_from_env() -> Option<usize> {
     knobs::usize_any("SNOWPRUNE_ADMISSION_QUEUE_CAP")
-}
-
-/// Static-plan-verifier override from the `SNOWPRUNE_VERIFY_PLANS`
-/// environment variable (`1`/`0`, `true`/`false`, `on`/`off`). Unlike the
-/// other knobs the verifier is **on** by default; the env var exists to
-/// switch it off for admission-cost measurements.
-///
-/// # Panics
-/// On a malformed value (anything other than the accepted spellings).
-pub fn verify_plans_from_env() -> Option<bool> {
-    knobs::toggle("SNOWPRUNE_VERIFY_PLANS")
 }
 
 #[cfg(test)]

@@ -7,16 +7,29 @@
 //! 4. **Top-k pruning** via a boundary shared between the top-k heap and
 //!    the scan, with the scan pipelined partition-at-a-time (runtime).
 //!
-//! Plus the §8.2 **predicate cache**: when an (optionally shared) cache is
-//! attached, query admission fingerprints the plan (exact mode), and a hit
-//! restricts the compiled scan set to the cached contributing partitions
-//! *before* morsel generation — the pool and prefetch pipeline only ever
-//! see cached contributors (plus DML-appended partitions). On a miss, the
-//! query records its own contributors as it executes: the top-k heap keeps
-//! each survivor's source partition (plus the partition of every row tied
-//! with the final boundary value, tracked exactly), and filter scans keep
-//! the partitions that emitted at least one selected row. The entry is
-//! inserted at query completion at the snapshot's table version.
+//! Every scan runs through one driver (`Executor::drive_scan`): it refines
+//! the scan's batches by the Filter*/Project* chain above it and turns
+//! them into the caller's payload (batches, or materialized rows),
+//! sequentially in the driver or worker-side as morsels on the shared
+//! pool, and hands the payloads to one driver-side sink in scan-set order
+//! (scans, LIMIT streams, aggregations, join builds) or as they arrive
+//! (top-k spines and join probes, so boundary tightenings reach the
+//! workers mid-scan).
+//!
+//! Plus the §8.2 **predicate cache**. Whether a plan is cacheable, and as
+//! which shape, is the static analyzer's report
+//! ([`snowprune_analyze::explain_cacheability`], returned by the admission
+//! `verify_with` call); the executor acts on that report and decides
+//! nothing of its own. When an (optionally shared) cache is attached, a
+//! cacheable plan is fingerprinted, and a hit restricts the compiled scan
+//! set to the cached contributing partitions *before* morsel generation —
+//! the pool and prefetch pipeline only ever see cached contributors (plus
+//! DML-appended partitions). On a miss, the query records its own
+//! contributors as it executes: the top-k heap keeps each survivor's
+//! source partition (plus the partition of every row tied with the final
+//! boundary value, tracked exactly), and filter scans keep the partitions
+//! that emitted at least one selected row. The entry is inserted at query
+//! completion at the snapshot's table version.
 
 use std::collections::HashSet;
 use std::ops::ControlFlow;
@@ -25,6 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use snowprune_analyze::CacheShape;
 use snowprune_cache::{CacheEntry, CacheLookup, CacheStats, EntryKind, PredicateCache, ShapeKey};
 use snowprune_core::filter::FilterPruner;
 use snowprune_core::join::{prune_probe_side, BloomFilter, JoinSummary};
@@ -42,7 +56,7 @@ use snowprune_plan::AggFunc;
 
 use crate::agg::{aggregate_rows, DistinctKeyTopK};
 use crate::config::{ExecConfig, PredicateCacheMode};
-use crate::pool::{MorselPool, QueryId, ScanJobSpec, ScanTicket};
+use crate::pool::{MorselDoneFn, MorselPool, PartitionSink, QueryId, ScanJobSpec, StopFn};
 use crate::rows::RowSet;
 use crate::scan::{stream_scan, CompiledScan, ScanHooks, ScanRunStats};
 use crate::vector::{Batch, BatchAggregator, BatchChain, JoinBuild};
@@ -69,11 +83,12 @@ pub struct ExecReport {
     pub cache: CacheOutcome,
     /// Compiled scan-set entries dropped by the cache-hit restriction.
     pub pruned_by_cache: u64,
-    /// Structured cache-shape eligibility explanation from the static
-    /// analyzer: why this plan is or isn't predicate-cacheable (§8.2).
-    /// Computed on every run, whether or not a cache is attached; the
-    /// executor debug-asserts it agrees with its own admission decision.
-    pub cacheability: Option<snowprune_analyze::CacheReport>,
+    /// The static analyzer's cacheability report: whether this plan is
+    /// predicate-cacheable (§8.2), as which shape, and why. It *is* the
+    /// executor's admission decision: with a cache attached, the cache is
+    /// consulted exactly when `shape` is set. Filled in by every
+    /// [`Executor::run`], whether or not a cache is attached.
+    pub cacheability: snowprune_analyze::CacheReport,
 }
 
 /// How a query interacted with the predicate cache.
@@ -138,15 +153,10 @@ struct CacheRun {
     record: Option<CacheRecorder>,
 }
 
-/// What the cache entry under construction caches.
-enum RecordKind {
-    Filter,
-    TopK { order_column: String },
-}
-
 /// Collects a query's contributing partitions while it executes.
 struct CacheRecorder {
-    kind: RecordKind,
+    /// The analyzer's shape for the plan: what the entry caches.
+    kind: CacheShape,
     /// Column names referenced by the plan's predicates (UPDATE rules).
     predicate_columns: Vec<String>,
     /// Version of the table snapshot the recorded partitions refer to;
@@ -164,7 +174,7 @@ struct CacheRecorder {
     aux_poisoned: bool,
     /// Filter shape: partitions that emitted at least one selected row
     /// (pooled scan workers insert concurrently).
-    survivors: Arc<Mutex<HashSet<PartitionId>>>,
+    survivors: Survivors,
     /// TopK shape, set by `exec_topk` at heap drain: the source partition
     /// of every heap survivor plus of every row tied with the final
     /// boundary value. `None` provenance aborts recording.
@@ -173,7 +183,7 @@ struct CacheRecorder {
 
 impl CacheRecorder {
     fn is_topk(&self) -> bool {
-        matches!(self.kind, RecordKind::TopK { .. })
+        matches!(self.kind, CacheShape::TopK { .. })
     }
 
     /// Assemble the finished entry; `None` when recording never completed
@@ -201,12 +211,12 @@ impl CacheRecorder {
         }
         let table_version = snapshot_version?;
         let (kind, mut partitions) = match kind {
-            RecordKind::Filter => {
+            CacheShape::Filter { .. } => {
                 let parts: Vec<PartitionId> =
                     std::mem::take(&mut *survivors.lock()).into_iter().collect();
                 (EntryKind::Filter, parts)
             }
-            RecordKind::TopK { order_column } => {
+            CacheShape::TopK { order_column, .. } => {
                 let parts: Vec<PartitionId> = topk?.into_iter().collect::<Option<_>>()?;
                 (EntryKind::TopK { order_column }, parts)
             }
@@ -228,60 +238,6 @@ impl CacheRecorder {
             aux_tables: aux,
         })
     }
-}
-
-/// Which §8.2 shape a plan caches as: a top-k above a (filtered) scan —
-/// including through a join, now that joined rows carry the spine side's
-/// partition provenance — a filtered aggregation over one scan, or a plain
-/// filter chain over one scan. LIMIT-without-ORDER-BY shapes and top-k
-/// over GROUP BY are not cached: their contributing sets are either
-/// timing-dependent (early stop) or not partition-attributable
-/// (distinct-key filtering drops rows before the heap sees them).
-fn cacheable_shape(plan: &Plan, topk_enabled: bool) -> Option<(String, RecordKind)> {
-    if let Some(spec) = detect_topk(plan) {
-        // Only the heap execution path records survivor provenance.
-        if !topk_enabled {
-            return None;
-        }
-        let provenance_exact = match spec.shape {
-            TopKShape::AboveScan => true,
-            // Joined rows carry the target-side partition per row, so the
-            // heap records an exact contributor set — provided the target
-            // table is scanned exactly once in the plan (a self-join's
-            // second scan would be wrongly restricted on replay). The
-            // other side's tables become auxiliary dependencies.
-            TopKShape::JoinProbeSide | TopKShape::OuterJoinBuildSide => {
-                count_scans_of(plan, &spec.target_table) == 1
-            }
-            TopKShape::AboveAggregation => false,
-        };
-        if provenance_exact {
-            return Some((
-                spec.target_table,
-                RecordKind::TopK {
-                    order_column: spec.order_column,
-                },
-            ));
-        }
-        return None;
-    }
-    // Filtered aggregation over one scan: the aggregate folds exactly the
-    // chain's output rows, so the scan's filter survivors are a sound (and
-    // exact) replay set for the whole aggregation.
-    if let Plan::Aggregate { input, .. } = plan {
-        if let Some((_, table, predicate)) = split_chain(input) {
-            if predicate.is_some() {
-                return Some((table.to_owned(), RecordKind::Filter));
-            }
-        }
-        return None;
-    }
-    if let Some((_, table, predicate)) = split_chain(plan) {
-        if predicate.is_some() {
-            return Some((table.to_owned(), RecordKind::Filter));
-        }
-    }
-    None
 }
 
 /// The pruning-aware query executor.
@@ -368,48 +324,31 @@ impl Executor {
 
     /// Execute a plan, returning rows plus the pruning report.
     ///
+    /// The static plan analyzer runs at admission on every query. Its
+    /// cacheability report is both surfaced as
+    /// [`ExecReport::cacheability`] and acted on: the predicate cache is
+    /// consulted for exactly the plans the report gives a shape.
+    ///
     /// # Errors
-    /// Besides the structural [`Plan::check`] errors, when
-    /// [`ExecConfig::verify_plans`] is set (the default) the static plan
-    /// analyzer runs at admission and ill-formed plans — unresolvable
-    /// columns, provably-degenerate predicate typing, incomparable join
-    /// keys, empty sort keys, mistyped aggregate inputs — are rejected
-    /// with [`Error::PlanRejected`] before any morsel is generated.
+    /// Besides the structural [`Plan::check`] errors, ill-formed plans —
+    /// unresolvable columns, provably-degenerate predicate typing,
+    /// incomparable join keys, empty sort keys, mistyped aggregate inputs
+    /// — are rejected with [`Error::PlanRejected`] before any morsel is
+    /// generated.
     pub fn run(&self, plan: &Plan) -> Result<QueryOutput> {
         plan.check()?;
-        let cacheability = if self.cfg.verify_plans {
-            snowprune_analyze::verify_with(plan, self.cfg.enable_topk_pruning)?.cacheability
-        } else {
-            snowprune_analyze::explain_cacheability(plan, self.cfg.enable_topk_pruning)
-        };
-        // Keep the analyzer's public explanation and the executor's private
-        // admission decision from drifting: every debug-mode run checks
-        // they agree on both eligibility and the target table/shape.
-        #[cfg(debug_assertions)]
-        {
-            let mirror = cacheable_shape(plan, self.cfg.enable_topk_pruning)
-                .map(|(t, k)| (t, matches!(k, RecordKind::TopK { .. })));
-            let analyzed = cacheability.shape.as_ref().map(|s| match s {
-                snowprune_analyze::CacheShape::TopK { table, .. } => (table.clone(), true),
-                snowprune_analyze::CacheShape::Filter { table } => (table.clone(), false),
-            });
-            debug_assert_eq!(
-                analyzed, mirror,
-                "static analyzer cacheability explanation drifted from the \
-                 executor's cacheable_shape: {:?}",
-                cacheability.reasons
-            );
-        }
+        let cacheability =
+            snowprune_analyze::verify_with(plan, self.cfg.enable_topk_pruning)?.cacheability;
         let io_before = self.io.snapshot();
         let start = Instant::now();
         let mut st = RunState {
             lane: self.pool.as_ref().map_or(0, |p| p.next_lane()),
             ..RunState::default()
         };
-        st.report.cacheability = Some(cacheability);
-        if let Some(cache) = &self.cache {
-            st.cache = self.consult_cache(plan, cache, &mut st.report);
+        if let (Some(cache), Some(kind)) = (&self.cache, &cacheability.shape) {
+            st.cache = self.consult_cache(plan, kind, cache, &mut st.report);
         }
+        st.report.cacheability = cacheability;
         let topk = detect_topk(plan);
         st.report.pruning.topk_eligible = topk.is_some();
         st.report.pruning.limit_eligible =
@@ -442,8 +381,9 @@ impl Executor {
         })
     }
 
-    /// Fingerprint a cacheable plan and look it up, arming either the
-    /// scan-set restriction (exact or shape hit) or a recorder (miss). In
+    /// Fingerprint a plan the analyzer found cacheable as `kind` and look
+    /// it up, arming either the scan-set restriction (exact or shape hit)
+    /// or a recorder (miss). In
     /// [`PredicateCacheMode::Shape`], shape-eligible plans additionally
     /// carry their literal-abstracted signature: a miss on the exact
     /// fingerprint falls back to any same-shape entry whose recorded
@@ -452,10 +392,12 @@ impl Executor {
     fn consult_cache(
         &self,
         plan: &Plan,
+        kind: &CacheShape,
         cache: &Arc<Mutex<PredicateCache>>,
         report: &mut ExecReport,
     ) -> Option<CacheRun> {
-        let (table, kind) = cacheable_shape(plan, self.cfg.enable_topk_pruning)?;
+        let (CacheShape::TopK { table, .. } | CacheShape::Filter { table }) = kind;
+        let table = table.clone();
         let live_version = self.catalog.get(&table).ok()?.read().version();
         let fp = fingerprint(plan, FingerprintMode::Exact);
         let shape = (self.cfg.predicate_cache_mode == PredicateCacheMode::Shape)
@@ -485,7 +427,7 @@ impl Executor {
             None => {
                 report.cache = CacheOutcome::Miss;
                 let recorder = CacheRecorder {
-                    kind,
+                    kind: kind.clone(),
                     predicate_columns: predicate_column_names(plan),
                     snapshot_version: None,
                     aux: Vec::new(),
@@ -511,7 +453,7 @@ impl Executor {
         match plan {
             Plan::Scan {
                 table, predicate, ..
-            } => self.exec_scan(table, predicate.as_ref(), st),
+            } => self.exec_chain(plan, &[], table, predicate.as_ref(), None, st),
             Plan::Filter { input, predicate } => {
                 let input_rows = self.exec_node(input, st)?;
                 let bound = predicate.bind(&input_rows.schema)?;
@@ -613,11 +555,13 @@ impl Executor {
                 LimitPushdown::NotALimitQuery => {}
             }
         }
-        // Execute with early termination where the chain allows streaming.
-        let rows = if let Some(streamed) = self.try_stream_limited(input, need, st)? {
-            streamed
-        } else {
-            self.exec_node(input, st)?
+        // A chain over a scan stops once `need` rows are produced ("most
+        // systems halt query processing when the LIMIT has been reached").
+        let rows = match split_chain(input) {
+            Some((ops, table, predicate)) => {
+                self.exec_chain(input, &ops, table, predicate, Some(need), st)?
+            }
+            None => self.exec_node(input, st)?,
         };
         let mut out = rows.rows;
         out.truncate(need);
@@ -627,67 +571,6 @@ impl Executor {
             schema: rows.schema,
             rows: final_rows,
         })
-    }
-
-    /// Stream a Filter*/Project* chain over a scan, stopping once `need`
-    /// rows are produced ("most systems halt query processing when the
-    /// LIMIT has been reached"). Returns `None` for non-streamable plans.
-    fn try_stream_limited(
-        &self,
-        plan: &Plan,
-        need: usize,
-        st: &mut RunState,
-    ) -> Result<Option<RowSet>> {
-        let Some((chain, table, predicate)) = split_chain(plan) else {
-            return Ok(None);
-        };
-        let scan = self.prepare_scan(table, predicate, st)?;
-        let schema = plan.schema()?;
-        let bound_chain = bind_chain(&chain, &scan.schema)?;
-        if let Some(pool) = &self.pool {
-            // Pooled morsels race to fill the limit — pre-assigned
-            // partitions still model the §4.4 catch (n workers read at
-            // least n partitions even if 1 would do). Row output is
-            // reassembled in morsel order and truncated at the
-            // deterministic prefix, so the result is byte-identical to the
-            // sequential scan no matter how morsels interleave; only the
-            // I/O overshoot is timing-dependent, exactly as in a real
-            // warehouse.
-            let pool = Arc::clone(pool);
-            let (stats, mut out) =
-                self.run_pooled_scan(&pool, st.lane, &scan, bound_chain, Some(need), None);
-            st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-            st.report.scan_stats.merge(&stats);
-            out.truncate(need);
-            return Ok(Some(RowSet { schema, rows: out }));
-        }
-        let mut out = Vec::with_capacity(need.min(4096));
-        let runtime_pruner = self.runtime_pruner_for(&scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary: None,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        let stats = stream_scan(&scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            let mut sel = batch.sel.clone();
-            bound_chain.refine(&batch.part, &mut sel);
-            for i in sel.iter() {
-                if out.len() >= need {
-                    break;
-                }
-                out.push(bound_chain.materialize(&batch.part, i));
-            }
-            if out.len() >= need {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-        st.report.scan_stats.merge(&stats);
-        out.truncate(need);
-        Ok(Some(RowSet { schema, rows: out }))
     }
 
     // ---- scans ----------------------------------------------------------
@@ -762,210 +645,191 @@ impl Executor {
             .map(|p| FilterPruner::new(p, self.cfg.filter.clone()))
     }
 
-    fn exec_scan(
+    /// Run a Filter*/Project* chain (`ops`, bottom-up) over a scan — a bare
+    /// scan is the empty chain — and collect its rows in scan-set order.
+    /// With `need`, the scan stops once `need` rows are produced.
+    fn exec_chain(
         &self,
+        plan: &Plan,
+        ops: &[ChainOp],
         table: &str,
         predicate: Option<&snowprune_expr::Expr>,
+        need: Option<usize>,
         st: &mut RunState,
     ) -> Result<RowSet> {
         let scan = self.prepare_scan(table, predicate, st)?;
-        let schema = scan.schema.clone();
-        // Filter-shape cache recording: remember every partition that
-        // emits at least one selected row ("partitions containing rows
-        // matching a filter predicate", §8.2).
-        let survivors = match &mut st.cache {
-            Some(cr) if cr.table == table => match &mut cr.record {
-                Some(rec) if !rec.is_topk() => {
-                    rec.snapshot_version = Some(scan.table.version());
-                    Some(Arc::clone(&rec.survivors))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(pool) = &self.pool {
-            let pool = Arc::clone(pool);
-            let chain = BatchChain::identity(schema.len());
-            let (stats, rows) = self.run_pooled_scan(&pool, st.lane, &scan, chain, None, survivors);
-            st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-            st.report.scan_stats.merge(&stats);
-            return Ok(RowSet { schema, rows });
-        }
+        let chain = bind_chain(ops, &scan.schema)?;
         let mut rows = Vec::new();
-        let runtime_pruner = self.runtime_pruner_for(&scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary: None,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        let stats = stream_scan(&scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            if !batch.is_empty() {
-                if let Some(s) = &survivors {
-                    s.lock().insert(batch.part.meta.id);
-                }
-            }
-            rows.extend(batch.sel.iter().map(|i| batch.part.row(i)));
-            ControlFlow::Continue(())
-        });
-        st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-        st.report.scan_stats.merge(&stats);
-        Ok(RowSet { schema, rows })
-    }
-
-    /// Run a scan as pooled morsels, applying `chain` worker-side and
-    /// collecting rows per morsel so the returned vector is in exact
-    /// scan-set order no matter which worker ran which morsel. With
-    /// `need = Some(k)`, a [`LimitTracker`] arms the deterministic
-    /// prefix-based early stop; with `None` the scan always runs to
-    /// completion.
-    fn run_pooled_scan(
-        &self,
-        pool: &Arc<MorselPool>,
-        lane: QueryId,
-        scan: &CompiledScan,
-        chain: BatchChain,
-        need: Option<usize>,
-        survivors: Option<Arc<Mutex<HashSet<PartitionId>>>>,
-    ) -> (ScanRunStats, Vec<Vec<Value>>) {
-        let morsels = scan
-            .scan_set
-            .len()
-            .div_ceil(self.cfg.morsel_partitions.max(1));
-        let slots: Arc<Vec<Mutex<Vec<Vec<Value>>>>> =
-            Arc::new((0..morsels).map(|_| Mutex::new(Vec::new())).collect());
-        let tracker = need.map(|_| Arc::new(LimitTracker::new(morsels)));
-        let sink_slots = Arc::clone(&slots);
-        let sink_tracker = tracker.clone();
-        let sink: Box<crate::pool::PartitionSink> = Box::new(move |mi, batch| {
-            if !batch.is_empty() {
-                if let Some(s) = &survivors {
-                    s.lock().insert(batch.part.meta.id);
-                }
-            }
-            let mut local = chain.apply(&batch);
-            if let Some(t) = &sink_tracker {
-                t.rows_per_morsel[mi].fetch_add(local.len(), Ordering::AcqRel);
-            }
-            sink_slots[mi].lock().append(&mut local);
-        });
-        let (stop, on_morsel_done): (
-            Box<crate::pool::StopFn>,
-            Option<Box<crate::pool::MorselDoneFn>>,
-        ) = match (need, tracker) {
-            (Some(need), Some(t)) => {
-                let stop_t = Arc::clone(&t);
-                (
-                    Box::new(move || stop_t.prefix_rows() >= need),
-                    Some(Box::new(move |mi| t.complete(mi))),
-                )
-            }
-            _ => (Box::new(|| false), None),
-        };
-        let stats = pool
-            .submit(
-                lane,
-                ScanJobSpec {
-                    scan: scan.clone(),
-                    io: self.io.clone(),
-                    io_cost: self.cfg.io_cost,
-                    boundary: None,
-                    runtime_pruner: self.runtime_pruner_for(scan),
-                    morsel_partitions: self.cfg.morsel_partitions,
-                    prefetch_depth: self.cfg.prefetch_depth,
-                    batch_rows: self.cfg.batch_rows,
-                    sink,
-                    stop,
-                    on_morsel_done,
-                },
-            )
-            .wait();
-        let rows = slots
-            .iter()
-            .flat_map(|slot| std::mem::take(&mut *slot.lock()))
-            .collect();
-        (stats, rows)
-    }
-
-    /// Stream a scan's rows — after applying `chain` — into a driver-side
-    /// sequential `sink`, using the morsel pool when one is attached and
-    /// falling back to the in-driver sequential scan otherwise. This is
-    /// the single streaming primitive behind the top-k spine and join
-    /// probe sides, so the boundary and deferred-filter hooks behave
-    /// identically on both paths: workers prune against the live (possibly
-    /// stale) boundary, while heap updates flow back through the driver.
-    /// Each row arrives with its source partition, which the predicate
-    /// cache records alongside top-k heap survivors (§8.2).
-    fn stream_chain_rows(
-        &self,
-        scan: &CompiledScan,
-        lane: QueryId,
-        boundary: Option<(&Arc<Boundary>, usize)>,
-        chain: &BatchChain,
-        sink: &mut dyn FnMut(Vec<Value>, PartitionId),
-    ) -> ScanRunStats {
-        if let Some(pool) = &self.pool {
-            // Workers evaluate predicates/projections and funnel row
-            // batches through a channel; the driver applies `sink`
-            // sequentially while later morsels are still scanning, so
-            // boundary tightenings from the heap reach the workers
-            // mid-scan. The channel is bounded (a few batches per worker)
-            // so a slow driver back-pressures the workers instead of
-            // buffering the whole selected row set. Rows arrive in
-            // morsel-completion order, which is timing-dependent: for a
-            // top-k consumer this means ties at the k-th ORDER BY value
-            // are broken by arrival rather than scan order (SQL-legal;
-            // unique-key results stay fully deterministic).
-            let (tx, rx) = std::sync::mpsc::sync_channel::<(PartitionId, Vec<Vec<Value>>)>(
-                pool.worker_count() * 4,
-            );
-            let chain = Arc::new(chain.clone());
-            let ticket: ScanTicket = pool.submit(
-                lane,
-                ScanJobSpec {
-                    scan: scan.clone(),
-                    io: self.io.clone(),
-                    io_cost: self.cfg.io_cost,
-                    boundary: boundary.map(|(b, col)| (Arc::clone(b), col)),
-                    runtime_pruner: self.runtime_pruner_for(scan),
-                    morsel_partitions: self.cfg.morsel_partitions,
-                    prefetch_depth: self.cfg.prefetch_depth,
-                    batch_rows: self.cfg.batch_rows,
-                    sink: Box::new(move |_, batch| {
-                        let rows = chain.apply(&batch);
-                        if !rows.is_empty() {
-                            // SyncSender sends through &self, so workers
-                            // contend only on the channel itself.
-                            let _ = tx.send((batch.part.meta.id, rows));
-                        }
-                    }),
-                    stop: Box::new(|| false),
-                    on_morsel_done: None,
-                },
-            );
-            // The job (and with it the sender) drops when its last morsel
-            // finishes, ending this loop.
-            for (pid, batch) in rx {
-                for row in batch {
-                    sink(row, pid);
-                }
-            }
-            return ticket.wait();
-        }
-        let runtime_pruner = self.runtime_pruner_for(scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        stream_scan(scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            let pid = batch.part.meta.id;
-            for r in chain.apply(&batch) {
-                sink(r, pid);
-            }
-            ControlFlow::Continue(())
+        self.drive_scan(
+            &scan,
+            &chain,
+            Delivery::Ordered { need },
+            materialize_rows,
+            st,
+            &mut |items| rows.append(items),
+        );
+        rows.truncate(need.unwrap_or(usize::MAX));
+        Ok(RowSet {
+            schema: plan.schema()?,
+            rows,
         })
+    }
+
+    /// The one scan driver. Each batch the scan emits first records its
+    /// partition in the filter recorder's survivor set when `scan` is the
+    /// recording target ([`arm_filter_recorder`], off the scan predicate's
+    /// selection), is then refined by `chain`, and a non-empty refined
+    /// batch is turned into payload items by `payload` (the batch itself,
+    /// or its rows) that reach `sink`, a run of items per call, as
+    /// `delivery` says. Without a pool the scan runs in the driver; with
+    /// one, the scan runs as morsels and recording, refinement and
+    /// `payload` run worker-side, in parallel with the scan. The scan's
+    /// counters reach the report through [`merge_side_stats`].
+    fn drive_scan<T: Send + 'static>(
+        &self,
+        scan: &CompiledScan,
+        chain: &BatchChain,
+        delivery: Delivery<'_>,
+        payload: fn(&BatchChain, Batch, &mut Vec<T>),
+        st: &mut RunState,
+        sink: &mut dyn FnMut(&mut Vec<T>),
+    ) {
+        let (need, boundary) = match delivery {
+            Delivery::Ordered { need } => (need.unwrap_or(usize::MAX), None),
+            Delivery::Streamed { boundary } => (usize::MAX, boundary),
+        };
+        let survivors = arm_filter_recorder(st, scan);
+        let chain = chain.clone();
+        // Pushes the refined batch's payload onto `out`; returns its rows.
+        let refine = move |batch: Batch, out: &mut Vec<T>| {
+            if let Some(s) = &survivors {
+                if !batch.is_empty() {
+                    s.lock().insert(batch.part.meta.id);
+                }
+            }
+            let mut sel = batch.sel;
+            chain.refine(&batch.part, &mut sel);
+            let n = sel.len();
+            if n > 0 {
+                payload(
+                    &chain,
+                    Batch {
+                        part: batch.part,
+                        sel,
+                    },
+                    out,
+                );
+            }
+            n
+        };
+        let submit = |pool: &MorselPool,
+                      sink: Box<PartitionSink>,
+                      stop: Box<StopFn>,
+                      on_morsel_done: Option<Box<MorselDoneFn>>| {
+            let spec = ScanJobSpec {
+                scan: scan.clone(),
+                io: self.io.clone(),
+                io_cost: self.cfg.io_cost,
+                boundary: boundary.map(|(b, col)| (Arc::clone(b), col)),
+                runtime_pruner: self.runtime_pruner_for(scan),
+                morsel_partitions: self.cfg.morsel_partitions,
+                prefetch_depth: self.cfg.prefetch_depth,
+                batch_rows: self.cfg.batch_rows,
+                sink,
+                stop,
+                on_morsel_done,
+            };
+            pool.submit(st.lane, spec)
+        };
+        let stats = match (&self.pool, delivery) {
+            (None, _) => {
+                let runtime_pruner = self.runtime_pruner_for(scan).map(Mutex::new);
+                let hooks = ScanHooks {
+                    boundary,
+                    runtime_pruner: runtime_pruner.as_ref(),
+                    prefetch_depth: self.cfg.prefetch_depth,
+                    batch_rows: self.cfg.batch_rows,
+                };
+                let mut delivered = 0;
+                let mut items = Vec::new();
+                stream_scan(scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
+                    if delivered < need {
+                        delivered += refine(batch, &mut items);
+                        if !items.is_empty() {
+                            sink(&mut items);
+                            items.clear();
+                        }
+                    }
+                    if delivered >= need {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+            }
+            (Some(pool), Delivery::Streamed { .. }) => {
+                // Bounded (a few batches per worker): a slow driver
+                // back-pressures the workers instead of buffering the whole
+                // selection, and heap tightenings still reach later morsels.
+                let (tx, rx) = std::sync::mpsc::sync_channel(pool.worker_count() * 4);
+                let job_sink = Box::new(move |_: usize, batch: Batch| {
+                    let mut items = Vec::new();
+                    if refine(batch, &mut items) > 0 {
+                        let _ = tx.send(items);
+                    }
+                });
+                let ticket = submit(pool, job_sink, Box::new(|| false), None);
+                // The job (and with it the sender) drops when its last
+                // morsel finishes, ending this loop.
+                for mut items in rx {
+                    sink(&mut items);
+                }
+                ticket.wait()
+            }
+            (Some(pool), Delivery::Ordered { .. }) => {
+                let morsels = scan
+                    .scan_set
+                    .len()
+                    .div_ceil(self.cfg.morsel_partitions.max(1));
+                let slots = Arc::new(
+                    (0..morsels)
+                        .map(|_| Mutex::new(Vec::new()))
+                        .collect::<Vec<_>>(),
+                );
+                let tracker = (need < usize::MAX).then(|| Arc::new(LimitTracker::new(morsels)));
+                let (stop, on_morsel_done): (Box<StopFn>, Option<Box<MorselDoneFn>>) =
+                    match &tracker {
+                        Some(t) => {
+                            let (stop_t, done_t) = (Arc::clone(t), Arc::clone(t));
+                            (
+                                Box::new(move || stop_t.prefix_rows() >= need),
+                                Some(Box::new(move |mi| done_t.complete(mi))),
+                            )
+                        }
+                        None => (Box::new(|| false), None),
+                    };
+                let sink_slots = Arc::clone(&slots);
+                let job_sink = Box::new(move |mi: usize, batch: Batch| {
+                    // Built outside the slot lock: holding the lock while
+                    // rows materialize made bare pooled scans ~15% slower
+                    // with 8 workers on a 2-vCPU host.
+                    let mut items = Vec::new();
+                    let n = refine(batch, &mut items);
+                    sink_slots[mi].lock().append(&mut items);
+                    if let Some(t) = &tracker {
+                        t.rows_per_morsel[mi].fetch_add(n, Ordering::AcqRel);
+                    }
+                });
+                let stats = submit(pool, job_sink, stop, on_morsel_done).wait();
+                // Morsels past the `need` prefix may hold overshoot rows;
+                // the LIMIT consumer truncates.
+                for slot in slots.iter() {
+                    sink(&mut slot.lock());
+                }
+                stats
+            }
+        };
+        merge_side_stats(&mut st.report, &stats, boundary.is_some());
     }
 
     // ---- joins ----------------------------------------------------------
@@ -1028,7 +892,10 @@ impl Executor {
                     bloom = None; // nothing to probe anyway
                 }
                 let mut bloom_skips = 0u64;
-                let summary_opt = self.cfg.enable_join_pruning.then_some(&summary);
+                let prune = self
+                    .cfg
+                    .enable_join_pruning
+                    .then_some((&summary, probe_key.as_str()));
                 let topk_hook = spine_hook.as_ref().map(|(spec, b)| (*spec, b));
                 {
                     let mut mat_sink = |r: Vec<Value>, _: Option<PartitionId>| out.push(r);
@@ -1038,11 +905,9 @@ impl Executor {
                     };
                     // Probe side. Joined rows carry the probe row's source
                     // partition — the spine side of a top-k-over-join — so
-                    // §8.2 provenance survives the join (it used to be
-                    // dropped here, which silently disqualified every join
-                    // shape from cache admission).
+                    // §8.2 provenance survives the join.
                     let batch_probe = if self.cfg.batch_native {
-                        self.prepare_side_scan(probe, summary_opt, probe_key, topk_hook, st)?
+                        self.prepare_side_scan(probe, prune, topk_hook, st)?
                     } else {
                         None
                     };
@@ -1053,31 +918,32 @@ impl Executor {
                             // on a match (late materialization).
                             let key_col =
                                 side.chain.column_of(probe.schema()?.index_of(probe_key)?);
-                            let boundary_hook =
-                                topk_hook.and_then(|(_, b)| side.order_col.map(|c| (b, c)));
-                            let stats = self.stream_chain_batches(
+                            self.drive_scan(
                                 &side.scan,
-                                st.lane,
-                                boundary_hook,
                                 &side.chain,
-                                &mut |batch| {
-                                    let pid = batch.part.meta.id;
-                                    bloom_skips += jb.probe_batch(
-                                        &batch,
-                                        key_col,
-                                        bloom.as_ref(),
-                                        |i, matches| {
-                                            let probe_row = side.chain.materialize(&batch.part, i);
-                                            for &bi in matches {
-                                                let mut row = jb.rows()[bi].clone();
-                                                row.extend(probe_row.iter().cloned());
-                                                row_sink(row, Some(pid));
-                                            }
-                                        },
-                                    );
+                                side.streamed(),
+                                keep_batch,
+                                st,
+                                &mut |batches| {
+                                    for batch in batches.iter() {
+                                        let pid = batch.part.meta.id;
+                                        bloom_skips += jb.probe_batch(
+                                            batch,
+                                            key_col,
+                                            bloom.as_ref(),
+                                            |i, matches| {
+                                                let probe_row =
+                                                    side.chain.materialize(&batch.part, i);
+                                                for &bi in matches {
+                                                    let mut row = jb.rows()[bi].clone();
+                                                    row.extend(probe_row.iter().cloned());
+                                                    row_sink(row, Some(pid));
+                                                }
+                                            },
+                                        );
+                                    }
                                 },
                             );
-                            merge_side_stats(&mut st.report, &stats, side.order_col.is_some());
                         }
                         None => {
                             let probe_schema = probe.schema()?;
@@ -1101,14 +967,7 @@ impl Executor {
                                     }
                                 }
                             };
-                            self.exec_side_with_pruning(
-                                probe,
-                                summary_opt,
-                                probe_key,
-                                topk_hook,
-                                st,
-                                &mut emit,
-                            )?;
+                            self.exec_side_with_pruning(probe, prune, topk_hook, st, &mut emit)?;
                         }
                     }
                 }
@@ -1148,8 +1007,7 @@ impl Executor {
                     };
                     // Preserved rows keep their source partition — the
                     // build side is the spine of an OuterJoinBuildSide
-                    // top-k, so dropping the pid here used to abort §8.2
-                    // recording for every outer-join shape.
+                    // top-k, so §8.2 recording needs it.
                     let mut join_one = |row: Vec<Value>, pid: Option<PartitionId>| {
                         let key = &row[bk];
                         // NULL build keys are never indexed, so a NULL key
@@ -1192,25 +1050,25 @@ impl Executor {
         }
     }
 
-    /// Compile a join side that is a Filter*/Project* chain over a scan:
-    /// apply §6 join pruning to its scan set and, when the side is the
+    /// Compile a side that is a Filter*/Project* chain over a scan: apply
+    /// §6 join pruning to its scan set when `prune` carries the other
+    /// side's summary and this side's key column and, when the side is the
     /// top-k spine target, install the Figure-7b machinery (scan-set
     /// ordering, boundary seeding, snapshot-version pinning for §8.2
     /// recording). Returns `None` for non-chain shapes, having touched
     /// nothing.
-    fn prepare_side_scan(
+    fn prepare_side_scan<'b>(
         &self,
         plan: &Plan,
-        summary: Option<&JoinSummary>,
-        key_column: &str,
-        topk: Option<(&TopKSpec, &Arc<Boundary>)>,
+        prune: Option<(&JoinSummary, &str)>,
+        topk: Option<(&TopKSpec, &'b Arc<Boundary>)>,
         st: &mut RunState,
-    ) -> Result<Option<SideScan>> {
+    ) -> Result<Option<SideScan<'b>>> {
         let Some((chain, table, predicate)) = split_chain(plan) else {
             return Ok(None);
         };
         let mut scan = self.prepare_scan(table, predicate, st)?;
-        if let Some(summary) = summary {
+        if let Some((summary, key_column)) = prune {
             if let Ok(key_idx) = scan.schema.index_of(key_column) {
                 let metas: Vec<PartitionMeta> =
                     scan.table.metadata().into_iter().cloned().collect();
@@ -1221,7 +1079,7 @@ impl Executor {
         }
         // Figure 7b: when this side is the top-k spine target, install
         // the boundary hook, order the scan set, and seed the boundary.
-        let mut order_col_hook = None;
+        let mut boundary_hook = None;
         if let Some((spec, boundary)) = topk {
             if scan.table_name == spec.target_table {
                 if let Ok(order_col) = scan.schema.index_of(&spec.order_column) {
@@ -1245,10 +1103,9 @@ impl Executor {
                             boundary.tighten(&init);
                         }
                     }
-                    // Top-k cache recording through a join: the spine
-                    // target is this side's scan, so the snapshot version
-                    // the recorded partitions refer to pins here (without
-                    // it, join-shape recordings could never complete).
+                    // Top-k cache recording: the spine target is this
+                    // side's scan, so the snapshot version the recorded
+                    // partitions refer to pins here.
                     if let Some(cr) = &mut st.cache {
                         if cr.table == scan.table_name {
                             if let Some(rec) = &mut cr.record {
@@ -1258,7 +1115,7 @@ impl Executor {
                             }
                         }
                     }
-                    order_col_hook = Some(order_col);
+                    boundary_hook = Some((boundary, order_col));
                 }
             }
         }
@@ -1266,47 +1123,48 @@ impl Executor {
         Ok(Some(SideScan {
             scan,
             chain,
-            order_col: order_col_hook,
+            boundary: boundary_hook,
         }))
     }
 
-    /// Execute a probe side (Filter*/Project* chain over a scan) with
-    /// join pruning applied to its scan set, streaming rows into `sink`
-    /// with their source partition. Falls back to materialized execution
-    /// (no provenance) for other shapes.
+    /// Execute a side (Filter*/Project* chain over a scan) through
+    /// [`Executor::prepare_side_scan`], streaming its rows into `sink` with
+    /// their source partition. Falls back to materialized execution (no
+    /// provenance) for other shapes.
     fn exec_side_with_pruning(
         &self,
         plan: &Plan,
-        summary: Option<&JoinSummary>,
-        key_column: &str,
+        prune: Option<(&JoinSummary, &str)>,
         topk: Option<(&TopKSpec, &Arc<Boundary>)>,
         st: &mut RunState,
-        sink: &mut dyn FnMut(Vec<Value>, Option<PartitionId>),
+        sink: RowSink<'_>,
     ) -> Result<()> {
-        if let Some(side) = self.prepare_side_scan(plan, summary, key_column, topk, st)? {
-            let boundary_hook = topk.and_then(|(_, b)| side.order_col.map(|c| (b, c)));
-            let stats = self.stream_chain_rows(
-                &side.scan,
-                st.lane,
-                boundary_hook,
-                &side.chain,
-                &mut |r, pid| sink(r, Some(pid)),
-            );
-            merge_side_stats(&mut st.report, &stats, side.order_col.is_some());
+        let Some(side) = self.prepare_side_scan(plan, prune, topk, st)? else {
+            for r in self.exec_node(plan, st)?.rows {
+                sink(r, None);
+            }
             return Ok(());
-        }
-        let rows = self.exec_node(plan, st)?;
-        for r in rows.rows {
-            sink(r, None);
-        }
+        };
+        self.drive_scan(
+            &side.scan,
+            &side.chain,
+            side.streamed(),
+            rows_with_partition,
+            st,
+            &mut |items| {
+                for (row, pid) in items.drain(..) {
+                    sink(row, Some(pid));
+                }
+            },
+        );
         Ok(())
     }
 
     /// Batch-native bulk load of a join side into a [`JoinBuild`]: when
     /// `plan` is a Filter*/Project* chain over a scan (and the batch-native
-    /// path is on), collect its refined batches in scan-set order and push
-    /// rows + keys column-major. Returns `None` when the side needs the
-    /// generic row fallback.
+    /// path is on), push its refined batches — rows + keys, column-major —
+    /// in scan-set order. Returns `None` when the side needs the generic
+    /// row fallback.
     fn try_batch_join_side(
         &self,
         plan: &Plan,
@@ -1317,16 +1175,24 @@ impl Executor {
         if !self.cfg.batch_native {
             return Ok(None);
         }
-        let Some(side) = self.prepare_side_scan(plan, summary, key_column, None, st)? else {
+        let prune = summary.map(|s| (s, key_column));
+        let Some(side) = self.prepare_side_scan(plan, prune, None, st)? else {
             return Ok(None);
         };
         let key_out = plan.schema()?.index_of(key_column)?;
         let mut jb = JoinBuild::new();
-        let (stats, batches) = self.collect_chain_batches(&side.scan, st.lane, &side.chain, None);
-        for b in &batches {
-            jb.push_batch(b, &side.chain, key_out);
-        }
-        merge_side_stats(&mut st.report, &stats, false);
+        self.drive_scan(
+            &side.scan,
+            &side.chain,
+            Delivery::Ordered { need: None },
+            keep_batch,
+            st,
+            &mut |batches| {
+                for b in batches.iter() {
+                    jb.push_batch(b, &side.chain, key_out);
+                }
+            },
+        );
         Ok(Some(jb))
     }
 
@@ -1346,171 +1212,12 @@ impl Executor {
         let probe_schema = probe.schema()?;
         let pk = probe_schema.index_of(probe_key)?;
         let mut jb = JoinBuild::new();
-        self.exec_side_with_pruning(probe, summary, probe_key, None, st, &mut |r, _| {
+        let prune = summary.map(|s| (s, probe_key));
+        self.exec_side_with_pruning(probe, prune, None, st, &mut |r, _| {
             let key = r[pk].clone();
             jb.push_row(r, key);
         })?;
         Ok(jb)
-    }
-
-    /// Stream a scan's *batches* — refined by `chain`'s filters but not
-    /// materialized — into a driver-side sequential sink. The batch-native
-    /// counterpart of [`Executor::stream_chain_rows`]: identical pooling,
-    /// boundary, and arrival-order semantics, but rows stay column-major
-    /// until the consumer (the join probe) decides what to materialize.
-    fn stream_chain_batches(
-        &self,
-        scan: &CompiledScan,
-        lane: QueryId,
-        boundary: Option<(&Arc<Boundary>, usize)>,
-        chain: &BatchChain,
-        sink: &mut dyn FnMut(Batch),
-    ) -> ScanRunStats {
-        if let Some(pool) = &self.pool {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Batch>(pool.worker_count() * 4);
-            let chain = Arc::new(chain.clone());
-            let ticket: ScanTicket = pool.submit(
-                lane,
-                ScanJobSpec {
-                    scan: scan.clone(),
-                    io: self.io.clone(),
-                    io_cost: self.cfg.io_cost,
-                    boundary: boundary.map(|(b, col)| (Arc::clone(b), col)),
-                    runtime_pruner: self.runtime_pruner_for(scan),
-                    morsel_partitions: self.cfg.morsel_partitions,
-                    prefetch_depth: self.cfg.prefetch_depth,
-                    batch_rows: self.cfg.batch_rows,
-                    sink: Box::new(move |_, batch| {
-                        let mut sel = batch.sel.clone();
-                        chain.refine(&batch.part, &mut sel);
-                        if !sel.is_empty() {
-                            let _ = tx.send(Batch {
-                                part: batch.part,
-                                sel,
-                            });
-                        }
-                    }),
-                    stop: Box::new(|| false),
-                    on_morsel_done: None,
-                },
-            );
-            // The job (and with it the sender) drops when its last morsel
-            // finishes, ending this loop.
-            for batch in rx {
-                sink(batch);
-            }
-            return ticket.wait();
-        }
-        let runtime_pruner = self.runtime_pruner_for(scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        stream_scan(scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            let mut sel = batch.sel.clone();
-            chain.refine(&batch.part, &mut sel);
-            if !sel.is_empty() {
-                sink(Batch {
-                    part: batch.part,
-                    sel,
-                });
-            }
-            ControlFlow::Continue(())
-        })
-    }
-
-    /// Run a scan to completion and return its refined batches in exact
-    /// scan-set order — the batch-native analogue of
-    /// [`Executor::run_pooled_scan`]'s ordered row reassembly. Pooled
-    /// workers refine batches morsel-locally and park them in per-morsel
-    /// slots, so the returned order (and with it every order-sensitive
-    /// consumer: float accumulation, join-summary construction) is
-    /// byte-identical to the sequential scan no matter how morsels
-    /// interleave. `survivors`, when armed, records partitions that
-    /// emitted at least one scan-predicate-selected row *before* the chain
-    /// refines (the same contract as `exec_scan`).
-    fn collect_chain_batches(
-        &self,
-        scan: &CompiledScan,
-        lane: QueryId,
-        chain: &BatchChain,
-        survivors: Option<Arc<Mutex<HashSet<PartitionId>>>>,
-    ) -> (ScanRunStats, Vec<Batch>) {
-        if let Some(pool) = &self.pool {
-            let morsels = scan
-                .scan_set
-                .len()
-                .div_ceil(self.cfg.morsel_partitions.max(1));
-            let slots: Arc<Vec<Mutex<Vec<Batch>>>> =
-                Arc::new((0..morsels).map(|_| Mutex::new(Vec::new())).collect());
-            let sink_slots = Arc::clone(&slots);
-            let chain = chain.clone();
-            let sink: Box<crate::pool::PartitionSink> = Box::new(move |mi, batch| {
-                if !batch.is_empty() {
-                    if let Some(s) = &survivors {
-                        s.lock().insert(batch.part.meta.id);
-                    }
-                }
-                let mut sel = batch.sel.clone();
-                chain.refine(&batch.part, &mut sel);
-                if !sel.is_empty() {
-                    sink_slots[mi].lock().push(Batch {
-                        part: batch.part,
-                        sel,
-                    });
-                }
-            });
-            let stats = pool
-                .submit(
-                    lane,
-                    ScanJobSpec {
-                        scan: scan.clone(),
-                        io: self.io.clone(),
-                        io_cost: self.cfg.io_cost,
-                        boundary: None,
-                        runtime_pruner: self.runtime_pruner_for(scan),
-                        morsel_partitions: self.cfg.morsel_partitions,
-                        prefetch_depth: self.cfg.prefetch_depth,
-                        batch_rows: self.cfg.batch_rows,
-                        sink,
-                        stop: Box::new(|| false),
-                        on_morsel_done: None,
-                    },
-                )
-                .wait();
-            let batches = slots
-                .iter()
-                .flat_map(|slot| std::mem::take(&mut *slot.lock()))
-                .collect();
-            return (stats, batches);
-        }
-        let mut batches = Vec::new();
-        let runtime_pruner = self.runtime_pruner_for(scan).map(Mutex::new);
-        let hooks = ScanHooks {
-            boundary: None,
-            runtime_pruner: runtime_pruner.as_ref(),
-            prefetch_depth: self.cfg.prefetch_depth,
-            batch_rows: self.cfg.batch_rows,
-        };
-        let stats = stream_scan(scan, &self.io, &self.cfg.io_cost, &hooks, |batch| {
-            if !batch.is_empty() {
-                if let Some(s) = &survivors {
-                    s.lock().insert(batch.part.meta.id);
-                }
-            }
-            let mut sel = batch.sel.clone();
-            chain.refine(&batch.part, &mut sel);
-            if !sel.is_empty() {
-                batches.push(Batch {
-                    part: batch.part,
-                    sel,
-                });
-            }
-            ControlFlow::Continue(())
-        });
-        (stats, batches)
     }
 
     /// Batch-native GROUP BY over a Filter*/Project* chain: columns fold
@@ -1530,27 +1237,21 @@ impl Executor {
             return Ok(None);
         };
         let scan = self.prepare_scan(table, predicate, st)?;
-        // Filter-shape cache recording, same contract as `exec_scan`:
-        // remember every partition that emitted at least one selected row
-        // and pin the snapshot version the recording refers to.
-        let survivors = match &mut st.cache {
-            Some(cr) if cr.table == table => match &mut cr.record {
-                Some(rec) if !rec.is_topk() => {
-                    rec.snapshot_version = Some(scan.table.version());
-                    Some(Arc::clone(&rec.survivors))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
         let bound_chain = bind_chain(&chain, &scan.schema)?;
         let input_schema = input.schema()?;
         let mut agg = BatchAggregator::new(&bound_chain, &input_schema, group_by, aggs)?;
-        let (stats, batches) = self.collect_chain_batches(&scan, st.lane, &bound_chain, survivors);
-        for b in &batches {
-            agg.update(b);
-        }
-        merge_side_stats(&mut st.report, &stats, false);
+        self.drive_scan(
+            &scan,
+            &bound_chain,
+            Delivery::Ordered { need: None },
+            keep_batch,
+            st,
+            &mut |batches| {
+                for b in batches.iter() {
+                    agg.update(b);
+                }
+            },
+        );
         Ok(Some(RowSet {
             schema: plan.schema()?,
             rows: agg.finish(),
@@ -1561,10 +1262,10 @@ impl Executor {
 
     fn exec_topk(&self, plan: &Plan, spec: &TopKSpec, st: &mut RunState) -> Result<RowSet> {
         let Plan::Limit { input, k, offset } = plan else {
-            return self.exec_node(plan, st);
+            return Err(Error::Invalid("exec_topk on non-limit".into()));
         };
         let Plan::Sort { input: below, .. } = input.as_ref() else {
-            return self.exec_node(plan, st);
+            return Err(Error::Invalid("exec_topk on a limit without sort".into()));
         };
         let n = (k + offset) as usize;
         st.report.topk_shape = Some(spec.shape);
@@ -1672,24 +1373,9 @@ impl Executor {
             aggs,
         } = agg_plan
         else {
-            // Shape said aggregation but the node is not: fall back on an
-            // isolated state (no limit-override leakage) that keeps this
-            // query's pool lane, then merge its pruning counters back.
-            let mut st2 = RunState {
-                lane: st.lane,
-                ..RunState::default()
-            };
-            let r = self.exec_node(agg_plan, &mut st2)?;
-            let p = &mut st.report.pruning;
-            let p2 = &st2.report.pruning;
-            p.partitions_total += p2.partitions_total;
-            p.pruned_by_filter += p2.pruned_by_filter;
-            p.pruned_by_limit += p2.pruned_by_limit;
-            p.pruned_by_join += p2.pruned_by_join;
-            p.pruned_by_topk += p2.pruned_by_topk;
-            p.fully_matching += p2.fully_matching;
-            st.report.scan_stats.merge(&st2.report.scan_stats);
-            return Ok(r);
+            return Err(Error::Invalid(
+                "top-k above aggregation on a non-aggregate node".into(),
+            ));
         };
         let input_schema = input.schema()?;
         let key_pos = group_by
@@ -1736,28 +1422,16 @@ impl Executor {
         spec: &TopKSpec,
         boundary: &Arc<Boundary>,
         st: &mut RunState,
-        sink: &mut dyn FnMut(Vec<Value>, Option<PartitionId>),
+        sink: RowSink<'_>,
     ) -> Result<()> {
-        // Vectorized fast path: a Filter*/Project* chain directly over the
-        // target scan compiles into a [`BatchChain`] and streams column-
-        // major — filters run as selection-vector kernels next to the scan
-        // (worker-side on pooled runs) and rows materialize only at the
-        // heap insert. Rows keep per-batch partition provenance, so §8.2
-        // recording is unchanged.
-        if let Some((chain, table, predicate)) = split_chain(plan) {
-            if table == spec.target_table {
-                return self
-                    .stream_spine_target(&chain, table, predicate, spec, boundary, st, sink);
-            }
+        // A Filter*/Project* chain directly over the target scan is a side
+        // with the Figure-7b hook and no join summary: filters run as
+        // selection-vector kernels next to the scan (worker-side on pooled
+        // runs) and rows materialize only at the heap insert.
+        if split_chain(plan).is_some_and(|(_, table, _)| table == spec.target_table) {
+            return self.exec_side_with_pruning(plan, None, Some((spec, boundary)), st, sink);
         }
         match plan {
-            Plan::Scan { .. } => {
-                let rows = self.exec_node(plan, st)?;
-                for r in rows.rows {
-                    sink(r, None);
-                }
-                Ok(())
-            }
             Plan::Filter { input, predicate } => {
                 let schema = input.schema()?;
                 let bound = predicate.bind(&schema)?;
@@ -1789,77 +1463,12 @@ impl Executor {
                 Ok(())
             }
             other => {
-                let rows = self.exec_node(other, st)?;
-                for r in rows.rows {
+                for r in self.exec_node(other, st)?.rows {
                     sink(r, None);
                 }
                 Ok(())
             }
         }
-    }
-
-    /// The spine's target scan plus its Filter*/Project* chain: install
-    /// the boundary hook, order the scan set, seed the boundary, pin the
-    /// cache-recording snapshot version, and stream the chain's output
-    /// rows (with source-partition provenance) into `sink`.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_spine_target(
-        &self,
-        chain: &[ChainOp],
-        table: &str,
-        predicate: Option<&snowprune_expr::Expr>,
-        spec: &TopKSpec,
-        boundary: &Arc<Boundary>,
-        st: &mut RunState,
-        sink: &mut dyn FnMut(Vec<Value>, Option<PartitionId>),
-    ) -> Result<()> {
-        let mut scan = self.prepare_scan(table, predicate, st)?;
-        let order_col = scan.schema.index_of(&spec.order_column)?;
-        let metas: Vec<PartitionMeta> = scan.table.metadata().into_iter().cloned().collect();
-        order_scan_set(
-            &mut scan.scan_set,
-            &metas,
-            order_col,
-            spec.desc,
-            self.cfg.topk_order,
-        );
-        if self.cfg.topk_init_boundary {
-            if let Some(init) = initial_boundary(
-                &scan.scan_set,
-                &metas,
-                order_col,
-                spec.k + spec.offset,
-                spec.desc,
-            ) {
-                boundary.tighten(&init);
-            }
-        }
-        // Top-k cache recording: pin the snapshot version the recorded
-        // partitions refer to.
-        if let Some(cr) = &mut st.cache {
-            if cr.table == table {
-                if let Some(rec) = &mut cr.record {
-                    if rec.is_topk() {
-                        rec.snapshot_version = Some(scan.table.version());
-                    }
-                }
-            }
-        }
-        let bound_chain = bind_chain(chain, &scan.schema)?;
-        let stats = self.stream_chain_rows(
-            &scan,
-            st.lane,
-            Some((boundary, order_col)),
-            &bound_chain,
-            &mut |r, pid| sink(r, Some(pid)),
-        );
-        let topk_pruned = stats.skipped_by_boundary + stats.cancelled_by_boundary;
-        st.report.topk_stats.partitions_considered += stats.considered;
-        st.report.topk_stats.partitions_skipped += topk_pruned;
-        st.report.pruning.pruned_by_topk += topk_pruned;
-        st.report.pruning.pruned_by_filter += stats.cancelled_by_runtime_filter;
-        st.report.scan_stats.merge(&stats);
-        Ok(())
     }
 }
 
@@ -1910,17 +1519,86 @@ impl LimitTracker {
     }
 }
 
-/// A join side compiled by [`Executor::prepare_side_scan`]: the (join- and
-/// cache-restricted) scan, the bound filter/project chain above it, and
-/// the order column when the Figure-7b boundary hook installed.
-struct SideScan {
-    scan: CompiledScan,
-    chain: BatchChain,
-    order_col: Option<usize>,
+/// How [`Executor::drive_scan`] hands payloads of refined batches to its sink.
+#[derive(Clone, Copy)]
+enum Delivery<'a> {
+    /// In scan-set order, so rows and float folds do not depend on how
+    /// pooled morsels interleave: workers park payloads in per-morsel slots
+    /// that the driver drains after the scan. With `need`, the scan stops
+    /// once the delivered prefix holds `need` rows — pooled, once the
+    /// completed-morsel prefix does ([`LimitTracker`]), so only the I/O
+    /// overshoot of in-flight and §4.4 pre-assigned partitions depends on
+    /// timing. Rows past `need` may still reach the sink, which truncates.
+    Ordered {
+        /// Rows after which delivery (and the scan) may stop.
+        need: Option<usize>,
+    },
+    /// As the scan produces them, through a bounded channel on pooled runs,
+    /// so boundary tightenings by the sink (the top-k heap) reach workers
+    /// mid-scan. Pooled arrival order is timing-dependent: ties at the k-th
+    /// ORDER BY value break by arrival (SQL-legal; unique keys stay
+    /// deterministic).
+    Streamed {
+        /// The top-k boundary hook and the ORDER BY column index.
+        boundary: Option<(&'a Arc<Boundary>, usize)>,
+    },
 }
 
-/// Merge one join-side scan's counters into the query report; `hooked`
-/// adds the top-k boundary tallies when the Figure-7b hook was installed.
+/// Payload of [`Executor::drive_scan`] for batch-native consumers: the
+/// refined batch itself.
+fn keep_batch(_: &BatchChain, b: Batch, out: &mut Vec<Batch>) {
+    out.push(b);
+}
+
+/// Payload of [`Executor::drive_scan`] for row consumers: the refined
+/// batch's rows, late-materialized through `chain`.
+fn materialize_rows(chain: &BatchChain, b: Batch, out: &mut Vec<Vec<Value>>) {
+    out.extend(b.sel.iter().map(|i| chain.materialize(&b.part, i)));
+}
+
+/// [`materialize_rows`] with each row's source partition, for consumers
+/// that record provenance (the top-k heap, row-fallback join sides).
+fn rows_with_partition(chain: &BatchChain, b: Batch, out: &mut Vec<(Vec<Value>, PartitionId)>) {
+    let pid = b.part.meta.id;
+    out.extend(b.sel.iter().map(|i| (chain.materialize(&b.part, i), pid)));
+}
+
+/// Filter-shape cache recording: the partitions that emitted at least one
+/// scan-predicate-selected row (pooled workers insert concurrently).
+type Survivors = Arc<Mutex<HashSet<PartitionId>>>;
+
+/// Arm filter-shape cache recording ("partitions containing rows matching
+/// a filter predicate", §8.2) when `scan` is the recorder's target: pin the
+/// snapshot version the recording refers to and return the survivor set
+/// for the scan driver to fill. Only filter-shape plans arm it, and those
+/// scan one table through one chain (possibly under an aggregation).
+fn arm_filter_recorder(st: &mut RunState, scan: &CompiledScan) -> Option<Survivors> {
+    let cr = st.cache.as_mut().filter(|cr| cr.table == scan.table_name)?;
+    let rec = cr.record.as_mut().filter(|rec| !rec.is_topk())?;
+    rec.snapshot_version = Some(scan.table.version());
+    Some(Arc::clone(&rec.survivors))
+}
+
+/// A side compiled by [`Executor::prepare_side_scan`]: the (join- and
+/// cache-restricted) scan, the bound filter/project chain above it, and
+/// the boundary hook when the Figure-7b machinery installed.
+struct SideScan<'a> {
+    scan: CompiledScan,
+    chain: BatchChain,
+    boundary: Option<(&'a Arc<Boundary>, usize)>,
+}
+
+impl<'a> SideScan<'a> {
+    /// Streamed delivery carrying this side's boundary hook.
+    fn streamed(&self) -> Delivery<'a> {
+        Delivery::Streamed {
+            boundary: self.boundary,
+        }
+    }
+}
+
+/// Merge one scan's counters into the query report; `hooked` adds the
+/// top-k boundary tallies when the Figure-7b hook was installed.
 fn merge_side_stats(report: &mut ExecReport, stats: &ScanRunStats, hooked: bool) {
     if hooked {
         let topk_pruned = stats.skipped_by_boundary + stats.cancelled_by_boundary;
@@ -2033,21 +1711,6 @@ fn sort_rows(input: RowSet, keys: &[SortKey]) -> Result<RowSet> {
         schema: input.schema,
         rows,
     })
-}
-
-/// How many `Scan` nodes of `table` appear in the plan. Cache admission of
-/// join shapes requires exactly one (self-joins scan the target twice, and
-/// restricting both scans to one side's contributors would be unsound).
-fn count_scans_of(plan: &Plan, table: &str) -> usize {
-    let mut n = 0;
-    plan.visit(&mut |p| {
-        if let Plan::Scan { table: t, .. } = p {
-            if t == table {
-                n += 1;
-            }
-        }
-    });
-    n
 }
 
 fn has_join(plan: &Plan) -> bool {

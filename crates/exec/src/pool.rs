@@ -353,7 +353,13 @@ impl MorselPool {
 
 impl Drop for MorselPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raised under the injector lock: a worker checks the flag and
+        // starts waiting on `work_cv` under that lock, so it either sees
+        // the flag or is already waiting when the notify below fires.
+        {
+            let _injector = lock(&self.shared.injector);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();

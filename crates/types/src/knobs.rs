@@ -79,11 +79,6 @@ pub const REGISTRY: &[KnobDef] = &[
         summary: "predicate-cache fingerprint mode",
     },
     KnobDef {
-        name: "SNOWPRUNE_VERIFY_PLANS",
-        kind: KnobKind::Toggle,
-        summary: "static plan verification at admission (default on)",
-    },
-    KnobDef {
         name: "SNOWPRUNE_BENCH_DIR",
         kind: KnobKind::Path,
         summary: "directory benchmark snapshots are written to",
@@ -228,8 +223,8 @@ mod tests {
         with_var("SNOWPRUNE_PREFETCH_DEPTH", None, || {
             assert_eq!(usize_min1("SNOWPRUNE_PREFETCH_DEPTH"), None);
         });
-        with_var("SNOWPRUNE_VERIFY_PLANS", None, || {
-            assert_eq!(toggle("SNOWPRUNE_VERIFY_PLANS"), None);
+        with_var("SNOWPRUNE_PREDICATE_CACHE", None, || {
+            assert_eq!(toggle("SNOWPRUNE_PREDICATE_CACHE"), None);
         });
     }
 
@@ -241,8 +236,8 @@ mod tests {
         with_var("SNOWPRUNE_ADMISSION_QUEUE_CAP", Some("0"), || {
             assert_eq!(usize_any("SNOWPRUNE_ADMISSION_QUEUE_CAP"), Some(0));
         });
-        with_var("SNOWPRUNE_VERIFY_PLANS", Some("off"), || {
-            assert_eq!(toggle("SNOWPRUNE_VERIFY_PLANS"), Some(false));
+        with_var("SNOWPRUNE_PREDICATE_CACHE", Some("off"), || {
+            assert_eq!(toggle("SNOWPRUNE_PREDICATE_CACHE"), Some(false));
         });
         with_var("SNOWPRUNE_PREDICATE_CACHE_MODE", Some("Shape"), || {
             assert_eq!(
@@ -270,11 +265,11 @@ mod tests {
             });
             assert!(m.contains("SNOWPRUNE_SCAN_THREADS"), "{m}");
         });
-        with_var("SNOWPRUNE_VERIFY_PLANS", Some("maybe"), || {
+        with_var("SNOWPRUNE_PREDICATE_CACHE", Some("maybe"), || {
             let m = panic_message(|| {
-                toggle("SNOWPRUNE_VERIFY_PLANS");
+                toggle("SNOWPRUNE_PREDICATE_CACHE");
             });
-            assert!(m.contains("SNOWPRUNE_VERIFY_PLANS"), "{m}");
+            assert!(m.contains("SNOWPRUNE_PREDICATE_CACHE"), "{m}");
             assert!(m.contains("maybe"), "{m}");
         });
         with_var("SNOWPRUNE_PREDICATE_CACHE_MODE", Some("fuzzy"), || {

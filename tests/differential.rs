@@ -27,7 +27,7 @@
 use snowprune::exec::{
     admission_queue_cap_from_env, batch_rows_from_env, predicate_cache_from_env,
     predicate_cache_mode_from_env, prefetch_depth_from_env, scan_threads_from_env,
-    tenant_max_concurrent_from_env, verify_plans_from_env, CacheOutcome, PredicateCacheMode,
+    tenant_max_concurrent_from_env, CacheOutcome, PredicateCacheMode,
 };
 use snowprune::prelude::*;
 use snowprune::workload::diffgen::{
@@ -51,8 +51,16 @@ fn env_batch_rows() -> usize {
     batch_rows_from_env().unwrap_or(ExecConfig::default().batch_rows)
 }
 
-fn env_verify_plans() -> bool {
-    verify_plans_from_env().unwrap_or(ExecConfig::default().verify_plans)
+/// Cache admission follows the analyzer: with a cache attached, a query
+/// consults it exactly when its cacheability report carries a shape.
+fn assert_admission_follows_analyzer(out: &QueryOutput, ctx: &str) {
+    assert_eq!(
+        out.report.cache != CacheOutcome::NotConsulted,
+        out.report.cacheability.shape.is_some(),
+        "{ctx}: cache admission diverged from the analyzer: {:?} vs {:?}",
+        out.report.cache,
+        out.report.cacheability
+    );
 }
 
 /// The prefetch pipeline's counter invariant: every considered scan-set
@@ -100,12 +108,10 @@ fn pruning_is_result_invariant_across_50_workloads() {
     let threads = pool_threads();
     let pruned_cfg = ExecConfig::default()
         .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
+        .with_batch_rows(env_batch_rows());
     let oracle_cfg = ExecConfig::no_pruning()
         .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
+        .with_batch_rows(env_batch_rows());
     for w in 0..WORKLOADS {
         let seed = 0xD1FF_0000 + w;
         let wl = build_workload(seed);
@@ -317,7 +323,6 @@ fn predicate_cache_warm_replays_match_cold_oracle() {
         let cfg = ExecConfig::default()
             .with_prefetch_depth(env_prefetch_depth())
             .with_batch_rows(env_batch_rows())
-            .with_verify_plans(env_verify_plans())
             .with_scan_threads(threads)
             .with_predicate_cache(cache_on)
             .with_predicate_cache_mode(mode);
@@ -368,6 +373,9 @@ fn predicate_cache_warm_replays_match_cold_oracle() {
                 // been a shape hit, recording nothing under this exact
                 // fingerprint). Disabled, the cache is never consulted.
                 if cache_on {
+                    for (label, out) in [("cold", &cold), ("warm", &warm), ("warm2", &warm2)] {
+                        assert_admission_follows_analyzer(out, &format!("{ctx} {label}"));
+                    }
                     match mode {
                         PredicateCacheMode::Exact => assert_eq!(
                             warm2.report.cache,
@@ -388,6 +396,17 @@ fn predicate_cache_warm_replays_match_cold_oracle() {
                 }
             }
             if cache_on {
+                // The generic mix adds shapes the analyzer does not cache
+                // (top-k over GROUP BY, joins without ORDER BY, bare
+                // LIMITs): those must never consult the cache.
+                let mut uncached = 0;
+                for (qi, (plan, _)) in random_queries(&mut rng, &wl).iter().enumerate() {
+                    let ctx = format!("workload {w} mixed query {qi} ({mode:?})");
+                    let out = session.run(plan).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+                    assert_admission_follows_analyzer(&out, &ctx);
+                    uncached += usize::from(out.report.cacheability.shape.is_none());
+                }
+                assert!(uncached > 0, "workload {w}: no uncacheable shape ran");
                 let stats = session.cache_stats();
                 assert!(
                     stats.hits + stats.shape_hits >= queries.len() as u64,
@@ -414,7 +433,6 @@ fn predicate_cache_shape_subsumption_matches_cold_oracle() {
         let cfg = ExecConfig::default()
             .with_prefetch_depth(env_prefetch_depth())
             .with_batch_rows(env_batch_rows())
-            .with_verify_plans(env_verify_plans())
             .with_scan_threads(threads)
             .with_predicate_cache(true)
             .with_predicate_cache_mode(mode);
@@ -449,12 +467,14 @@ fn predicate_cache_shape_subsumption_matches_cold_oracle() {
                 let session = Session::new(wl.catalog.clone(), cfg.clone());
                 let cold = session.run(wide).unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
                 assert_eq!(cold.report.cache, CacheOutcome::Miss, "{ctx}: cold");
+                assert_admission_follows_analyzer(&cold, &format!("{ctx} cold"));
                 // The narrowed replay (no DML yet): shape mode serves it by
                 // subsumption, exact mode must miss.
                 let narrowed = session
                     .run(narrow)
                     .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
                 assert_pipeline_invariant(&narrowed, &format!("{ctx} narrowed"));
+                assert_admission_follows_analyzer(&narrowed, &format!("{ctx} narrowed"));
                 match mode {
                     PredicateCacheMode::Shape => assert_eq!(
                         narrowed.report.cache,
@@ -500,6 +520,7 @@ fn predicate_cache_shape_subsumption_matches_cold_oracle() {
                     .run(narrow)
                     .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
                 assert_pipeline_invariant(&after_dml, &format!("{ctx} after-dml"));
+                assert_admission_follows_analyzer(&after_dml, &format!("{ctx} after-dml"));
                 let oracle_after = oracle
                     .run(narrow)
                     .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
@@ -522,8 +543,7 @@ fn prefetch_depths_match_sequential_oracle() {
     let threads = pool_threads();
     let oracle_cfg = ExecConfig::no_pruning()
         .with_prefetch_depth(1)
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
+        .with_batch_rows(env_batch_rows());
     for w in 0..WORKLOADS {
         let seed = 0xD1FF_0000 + w;
         let wl = build_workload(seed);
@@ -556,8 +576,7 @@ fn prefetch_depths_match_sequential_oracle() {
         for depth in [1usize, 4] {
             let cfg = ExecConfig::default()
                 .with_prefetch_depth(depth)
-                .with_batch_rows(env_batch_rows())
-                .with_verify_plans(env_verify_plans());
+                .with_batch_rows(env_batch_rows());
             let seq = Executor::new(wl.catalog.clone(), cfg.clone());
             let pool = Session::new(wl.catalog.clone(), cfg.with_scan_threads(threads));
             let batch = pool.run_batch(&plans);
@@ -676,7 +695,6 @@ fn admitted_bursts_match_sequential_oracle_and_leave_no_residue() {
     let cfg = ExecConfig::default()
         .with_prefetch_depth(env_prefetch_depth())
         .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans())
         .with_scan_threads(threads)
         .with_tenant_max_concurrent(c)
         .with_admission_queue_cap(q)
@@ -698,8 +716,7 @@ fn admitted_bursts_match_sequential_oracle_and_leave_no_residue() {
             wl.catalog.clone(),
             ExecConfig::default()
                 .with_prefetch_depth(env_prefetch_depth())
-                .with_batch_rows(env_batch_rows())
-                .with_verify_plans(env_verify_plans()),
+                .with_batch_rows(env_batch_rows()),
         );
         let session = Session::new(wl.catalog.clone(), cfg.clone());
         let run = session.run_admitted(&arrivals);
@@ -900,8 +917,7 @@ fn sql_round_trip_is_byte_identical_across_50_workloads() {
     let threads = pool_threads();
     let cfg = ExecConfig::default()
         .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
+        .with_batch_rows(env_batch_rows());
     for w in 0..WORKLOADS {
         let seed = 0xD1FF_0000 + w;
         let wl = build_workload(seed);

@@ -17,9 +17,7 @@
 //! a mixed-depth pool (depths 1, 2, 8 round-robin across queries sharing
 //! one pool) and must be equally reproducible.
 
-use snowprune::exec::{
-    batch_rows_from_env, prefetch_depth_from_env, scan_threads_from_env, verify_plans_from_env,
-};
+use snowprune::exec::{batch_rows_from_env, prefetch_depth_from_env, scan_threads_from_env};
 use snowprune::prelude::*;
 
 const RUNS: usize = 100;
@@ -35,10 +33,6 @@ fn env_prefetch_depth() -> usize {
 
 fn env_batch_rows() -> usize {
     batch_rows_from_env().unwrap_or(ExecConfig::default().batch_rows)
-}
-
-fn env_verify_plans() -> bool {
-    verify_plans_from_env().unwrap_or(ExecConfig::default().verify_plans)
 }
 
 fn catalog() -> Catalog {
@@ -172,8 +166,7 @@ fn sixteen_queries_on_shared_pool_are_exactly_reproducible() {
     let cfg = ExecConfig::default()
         .with_scan_threads(threads)
         .with_prefetch_depth(env_prefetch_depth())
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
+        .with_batch_rows(env_batch_rows());
 
     let run_once = || -> Vec<Fingerprint> {
         let session = Session::new(catalog.clone(), cfg.clone());
@@ -251,7 +244,6 @@ fn admitted_multi_tenant_burst_is_exactly_reproducible() {
         .with_scan_threads(pool_threads())
         .with_prefetch_depth(env_prefetch_depth())
         .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans())
         .with_tenant_max_concurrent(2)
         .with_admission_queue_cap(6)
         .with_adaptive_prefetch(true)
@@ -310,8 +302,7 @@ fn mixed_prefetch_depth_pool_runs_are_reproducible() {
     let plans = queries(&catalog);
     let base = ExecConfig::default()
         .with_scan_threads(threads)
-        .with_batch_rows(env_batch_rows())
-        .with_verify_plans(env_verify_plans());
+        .with_batch_rows(env_batch_rows());
 
     let run_once = || -> Vec<Fingerprint> {
         let pool = MorselPool::new(threads);
